@@ -7,8 +7,8 @@
 //!         [--dump-bytecode app]
 //!
 //!   figure ∈ { fig6, fig7, fig8, fig9, fig10, fig11, fig12, ratios,
-//!              errorbars, ablations, bench-pr3, bench-pr4, bench-pr5,
-//!              bench-pr6, bench-pr7, bench-pr8, report, all }
+//!              errorbars, ablations, bench-pr3, bench-pr4, bench-pr6,
+//!              bench-pr7, bench-pr8, report, all }
 //!
 //! harness diff <a.json> <b.json> [--threshold-pct X]
 //! harness validate-metrics <schema.json> <metrics.json>
@@ -1341,195 +1341,6 @@ fn bench_pr4(o: &Opts) {
     println!("  wrote BENCH_PR4.json");
 }
 
-/// `bench-pr5`: machine-readable evidence for the pipelined audit.
-/// Writes `BENCH_PR5.json` with (a) decode-phase allocation counts for
-/// the owned decoder vs the zero-copy view vs the end-to-end fast path
-/// (plus bytes actually copied), and (b) per-phase audit wall-clocks
-/// for every app across the {threads 1, 4} x {pipeline off, on}
-/// matrix, asserting verdicts and structural metrics are bit-identical
-/// across all four configurations. Exits nonzero if the decode
-/// allocation budget is exceeded or any configuration diverges, so CI
-/// can run it as a smoke test.
-fn bench_pr5(o: &Opts) {
-    use karousos::{audit_with_obs, AuditOptions};
-    use obs::Obs;
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "== bench-pr5: pipelined audit ({} requests, {} iters, {cores} cores) ==",
-        o.requests, o.iters
-    );
-    if cores <= 1 {
-        // Same caveat EXPERIMENTS.md records for the PR 2 numbers: on a
-        // single-core container the parallel/pipelined configurations
-        // measure coordination overhead, not speedup.
-        println!("  note: single-core runner; parallel configs measure overhead, not speedup");
-    }
-
-    // Decode-phase allocation microbenchmark (same pins as
-    // tests/alloc_regression.rs, on the full-size wiki advice).
-    let pw = bench::prepare(App::Wiki, Mix::Wiki, o.requests, 8, o.seed);
-    let bytes = karousos::encode_advice(&pw.karousos);
-    let _ = karousos::decode_advice(&bytes).expect("wiki advice decodes");
-    let _ = karousos::decode_advice_view(&bytes).expect("wiki advice decodes");
-    let _ = karousos::decode_advice_fast(&bytes).expect("wiki advice decodes");
-    let (owned, owned_allocs) = count_allocs(|| karousos::decode_advice(&bytes));
-    let owned = owned.expect("owned decode accepts");
-    let (_, view_allocs) = count_allocs(|| karousos::decode_advice_view(&bytes).map(|_| ()));
-    let (fast, fast_allocs) = count_allocs(|| karousos::decode_advice_fast(&bytes));
-    let (fast, dstats) = fast.expect("fast decode accepts");
-    assert_eq!(fast, owned, "decoders disagree on honest wiki advice");
-    let owned_copied = karousos::owned_decode_copy_bytes(&owned);
-    let view_reduction = owned_allocs as f64 / view_allocs.max(1) as f64;
-    let fast_reduction = owned_allocs as f64 / fast_allocs.max(1) as f64;
-    let decode_within_budget = view_allocs.saturating_mul(5) <= owned_allocs
-        && fast_allocs.saturating_mul(2) <= owned_allocs
-        && dstats.bytes_copied < owned_copied;
-    println!(
-        "  decode allocs: owned {owned_allocs}, view {view_allocs} ({view_reduction:.1}x fewer), \
-         fast {fast_allocs} ({fast_reduction:.1}x fewer); copied {} of {} owned-path bytes",
-        dstats.bytes_copied, owned_copied
-    );
-
-    // Phase matrix: {threads 1, 4} x {pipeline off, on}, per app.
-    // Pipeline off at 1 thread is the PR 4 barrier audit — the
-    // comparison baseline for the end-to-end improvement claim.
-    let configs = [(1usize, false), (1, true), (4, false), (4, true)];
-    let mut diverged = false;
-    let mut apps_json = String::new();
-    for (app, mix) in [
-        (App::Motd, Mix::Mixed),
-        (App::Stacks, Mix::Mixed),
-        (App::Wiki, Mix::Wiki),
-    ] {
-        let p = bench::prepare(app, mix, o.requests, 8, o.seed);
-        let mut baseline: Option<karousos::AuditReport> = None;
-        let mut cfg_json = String::new();
-        let mut totals = [std::time::Duration::ZERO; 4];
-        let mut amdahl = String::new();
-        for (slot, &(threads, pipeline)) in configs.iter().enumerate() {
-            let mut opts = AuditOptions::with_threads(threads);
-            opts.pipeline = pipeline;
-            let (t, report) = bench::time_median(o.iters, || {
-                audit_with_obs(
-                    &p.program,
-                    &p.trace,
-                    &p.karousos,
-                    p.exp.isolation,
-                    opts,
-                    &Obs::noop(),
-                )
-                .expect("honest advice must be accepted")
-            });
-            totals[slot] = t;
-            match &baseline {
-                None => baseline = Some(report),
-                Some(b) => {
-                    if b.reexec != report.reexec
-                        || b.graph_nodes != report.graph_nodes
-                        || b.graph_edges != report.graph_edges
-                    {
-                        eprintln!(
-                            "DIVERGENCE: {} threads={threads} pipeline={pipeline} \
-                             disagrees with serial barrier baseline",
-                            app.name()
-                        );
-                        diverged = true;
-                    }
-                }
-            }
-            let ph = report.timing;
-            // The Amdahl target from the issue: preprocess + graph
-            // merge no longer exceeding group replay at 4 threads with
-            // the pipeline on (meaningful on multi-core only).
-            if app == App::Wiki && threads == 4 && pipeline {
-                let serial_side = ph.preprocess + ph.graph_merge;
-                amdahl = format!(
-                    "  wiki amdahl check (4 threads, pipeline on): preprocess+graph_merge {} ms \
-                     vs group_replay {} ms{}",
-                    ms(serial_side),
-                    ms(ph.group_replay),
-                    if cores <= 1 {
-                        " [single-core: not expected to hold]"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            if !cfg_json.is_empty() {
-                cfg_json.push_str(",\n");
-            }
-            cfg_json.push_str(&format!(
-                "      {{\"threads\": {threads}, \"pipeline\": {pipeline}, \
-                 \"audit_us\": {}, \"phases_us\": {}}}",
-                t.as_micros(),
-                ph.to_json()
-            ));
-        }
-        // Improvement of the pipelined 4-thread audit over the PR 4
-        // barrier audit at the same thread count.
-        let improvement_pct =
-            (1.0 - totals[3].as_secs_f64() / totals[2].as_secs_f64().max(1e-9)) * 100.0;
-        if !apps_json.is_empty() {
-            apps_json.push_str(",\n");
-        }
-        apps_json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"mix\": \"{}\", \"requests\": {}, \"concurrency\": 8,\n     \
-             \"configs\": [\n{cfg_json}\n     ],\n     \
-             \"pipeline_improvement_pct_at_4_threads\": {improvement_pct:.1}}}",
-            app.name(),
-            mix.name(),
-            o.requests,
-        ));
-        println!(
-            "  {:<7} t1 off {} / on {} ms, t4 off {} / on {} ms ({improvement_pct:+.1}% pipelined)",
-            app.name(),
-            ms(totals[0]),
-            ms(totals[1]),
-            ms(totals[2]),
-            ms(totals[3]),
-        );
-        if !amdahl.is_empty() {
-            println!("{amdahl}");
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"pr5-pipelined-audit\",\n  \"iters\": {},\n  \
-         \"available_cores\": {cores},\n  \
-         \"single_core_caveat\": {},\n  \
-         \"decode\": {{\n    \"wire_bytes\": {},\n    \"owned_allocs\": {owned_allocs},\n    \
-         \"view_allocs\": {view_allocs},\n    \"fast_allocs\": {fast_allocs},\n    \
-         \"view_reduction_factor\": {view_reduction:.1},\n    \
-         \"fast_reduction_factor\": {fast_reduction:.1},\n    \
-         \"bytes_copied\": {},\n    \"owned_path_bytes_copied\": {owned_copied},\n    \
-         \"budget\": {{\"view_min_reduction\": 5, \"fast_min_reduction\": 2, \
-         \"within_budget\": {decode_within_budget}}}\n  }},\n  \
-         \"configs_bit_identical\": {},\n  \"apps\": [\n{apps_json}\n  ]\n}}\n",
-        o.iters,
-        cores <= 1,
-        bytes.len(),
-        dstats.bytes_copied,
-        !diverged,
-    );
-    if let Err(e) = std::fs::write("BENCH_PR5.json", &json) {
-        eprintln!("failed to write BENCH_PR5.json: {e}");
-        std::process::exit(1);
-    }
-    println!("  wrote BENCH_PR5.json");
-    if !decode_within_budget {
-        eprintln!(
-            "DECODE ALLOCATION BUDGET EXCEEDED: owned {owned_allocs}, view {view_allocs} \
-             (need >= 5x fewer), fast {fast_allocs} (need >= 2x fewer), copied {} vs {}",
-            dstats.bytes_copied, owned_copied
-        );
-        std::process::exit(1);
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-}
-
 /// `bench-pr6`: machine-readable evidence for resource governance.
 /// Writes `BENCH_PR6.json` pinning (a) the fuel-metering overhead on an
 /// honest wiki run — audit wall-clock under the default `Limits`
@@ -1673,8 +1484,7 @@ fn bench_pr6(o: &Opts) {
 /// on interleaved pairs (median of per-pair ratios, so runner drift
 /// cancels), replay-phase allocation events, and fuel bills — which
 /// must be bit-identical between the two interpreters. Also audits
-/// every app across the full threads{1,4} × pipeline{off,on} ×
-/// bytecode{off,on} matrix and asserts verdicts and structural metrics
+/// every app across the full threads{1,4} × bytecode{off,on} matrix and asserts verdicts and structural metrics
 /// never diverge. Exits nonzero on divergence, on a fuel-bill
 /// mismatch, or if the VM is slower than the tree-walk anywhere, so CI
 /// can run it as a smoke test.
@@ -1700,39 +1510,36 @@ fn bench_pr7(o: &Opts) {
     ] {
         let p = bench::prepare(app, mix, o.requests, 8, o.seed);
 
-        // Full-matrix bit-identity: the serial tree-walk barrier audit
+        // Full-matrix bit-identity: the serial tree-walk audit
         // is the baseline every other configuration must reproduce
         // exactly (stats, fuel bill, graph shape).
         let mut baseline: Option<karousos::AuditReport> = None;
         for threads in [1usize, 4] {
-            for pipeline in [false, true] {
-                for bytecode in [false, true] {
-                    let mut opts = AuditOptions::with_threads(threads);
-                    opts.pipeline = pipeline;
-                    opts.bytecode = bytecode;
-                    let report = audit_with_obs(
-                        &p.program,
-                        &p.trace,
-                        &p.karousos,
-                        p.exp.isolation,
-                        opts,
-                        &Obs::noop(),
-                    )
-                    .expect("honest advice must be accepted");
-                    match &baseline {
-                        None => baseline = Some(report),
-                        Some(b) => {
-                            if b.reexec != report.reexec
-                                || b.graph_nodes != report.graph_nodes
-                                || b.graph_edges != report.graph_edges
-                            {
-                                eprintln!(
-                                    "DIVERGENCE: {} threads={threads} pipeline={pipeline} \
-                                     bytecode={bytecode} disagrees with tree-walk baseline",
-                                    app.name()
-                                );
-                                diverged = true;
-                            }
+            for bytecode in [false, true] {
+                let mut opts = AuditOptions::with_threads(threads);
+                opts.bytecode = bytecode;
+                let report = audit_with_obs(
+                    &p.program,
+                    &p.trace,
+                    &p.karousos,
+                    p.exp.isolation,
+                    opts,
+                    &Obs::noop(),
+                )
+                .expect("honest advice must be accepted");
+                match &baseline {
+                    None => baseline = Some(report),
+                    Some(b) => {
+                        if b.reexec != report.reexec
+                            || b.graph_nodes != report.graph_nodes
+                            || b.graph_edges != report.graph_edges
+                        {
+                            eprintln!(
+                                "DIVERGENCE: {} threads={threads} \
+                                 bytecode={bytecode} disagrees with tree-walk baseline",
+                                app.name()
+                            );
+                            diverged = true;
                         }
                     }
                 }
@@ -1844,7 +1651,7 @@ fn bench_pr7(o: &Opts) {
     let json = format!(
         "{{\n  \"bench\": \"pr7-bytecode-vm\",\n  \"iters\": {},\n  \
          \"requests\": {},\n  \"available_cores\": {cores},\n  \
-         \"matrix\": \"threads{{1,4}} x pipeline{{off,on}} x bytecode{{off,on}}\",\n  \
+         \"matrix\": \"threads{{1,4}} x bytecode{{off,on}}\",\n  \
          \"configs_bit_identical\": {},\n  \
          \"target\": {{\"min_speedup\": 1.5, \"min_alloc_reduction\": 3.0, \
          \"scope\": \"stacks|wiki\", \"best_speedup\": {best_speedup:.2}, \
@@ -1902,7 +1709,7 @@ const PR7_BASELINES: [Pr7Baseline; 3] = [
 /// this tree, so the comparison is against the committed numbers).
 ///
 /// Gates, mirroring the PR's acceptance criteria:
-/// * full threads{1,4} x pipeline{off,on} x bytecode{off,on} matrix
+/// * full threads{1,4} x bytecode{off,on} matrix
 ///   must stay bit-identical (verdicts, stats, graph shape);
 /// * fuel bills must be bit-identical between interpreters, and — at
 ///   the baseline request count — bit-identical to PR 7's (fuel is
@@ -1951,34 +1758,31 @@ fn bench_pr8(o: &Opts) {
         // Full-matrix bit-identity: serial tree-walk is the reference.
         let mut reference: Option<karousos::AuditReport> = None;
         for threads in [1usize, 4] {
-            for pipeline in [false, true] {
-                for bytecode in [false, true] {
-                    let mut opts = AuditOptions::with_threads(threads);
-                    opts.pipeline = pipeline;
-                    opts.bytecode = bytecode;
-                    let report = audit_with_obs(
-                        &p.program,
-                        &p.trace,
-                        &p.karousos,
-                        p.exp.isolation,
-                        opts,
-                        &Obs::noop(),
-                    )
-                    .expect("honest advice must be accepted");
-                    match &reference {
-                        None => reference = Some(report),
-                        Some(b) => {
-                            if b.reexec != report.reexec
-                                || b.graph_nodes != report.graph_nodes
-                                || b.graph_edges != report.graph_edges
-                            {
-                                eprintln!(
-                                    "DIVERGENCE: {} threads={threads} pipeline={pipeline} \
-                                     bytecode={bytecode} disagrees with tree-walk baseline",
-                                    app.name()
-                                );
-                                diverged = true;
-                            }
+            for bytecode in [false, true] {
+                let mut opts = AuditOptions::with_threads(threads);
+                opts.bytecode = bytecode;
+                let report = audit_with_obs(
+                    &p.program,
+                    &p.trace,
+                    &p.karousos,
+                    p.exp.isolation,
+                    opts,
+                    &Obs::noop(),
+                )
+                .expect("honest advice must be accepted");
+                match &reference {
+                    None => reference = Some(report),
+                    Some(b) => {
+                        if b.reexec != report.reexec
+                            || b.graph_nodes != report.graph_nodes
+                            || b.graph_edges != report.graph_edges
+                        {
+                            eprintln!(
+                                "DIVERGENCE: {} threads={threads} \
+                                 bytecode={bytecode} disagrees with tree-walk baseline",
+                                app.name()
+                            );
+                            diverged = true;
                         }
                     }
                 }
@@ -2127,7 +1931,7 @@ fn bench_pr8(o: &Opts) {
     let json = format!(
         "{{\n  \"bench\": \"pr8-persistent-values\",\n  \"iters\": {},\n  \
          \"requests\": {},\n  \"available_cores\": {cores},\n  \
-         \"matrix\": \"threads{{1,4}} x pipeline{{off,on}} x bytecode{{off,on}}\",\n  \
+         \"matrix\": \"threads{{1,4}} x bytecode{{off,on}}\",\n  \
          \"configs_bit_identical\": {},\n  \
          \"target\": {{\"min_alloc_reduction\": {{\"motd\": 3.0, \"wiki\": 2.0}}, \
          \"wiki_floor_note\": \"~45% of wiki replay allocs are string content + \
@@ -2654,7 +2458,6 @@ fn main() {
         "ablations" => ablations(&o),
         "bench-pr3" => bench_pr3(&o),
         "bench-pr4" => bench_pr4(&o),
-        "bench-pr5" => bench_pr5(&o),
         "bench-pr6" => bench_pr6(&o),
         "bench-pr7" => bench_pr7(&o),
         "bench-pr8" => bench_pr8(&o),
@@ -2673,7 +2476,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown figure {other:?}; try fig6..fig12, ratios, errorbars, ablations, \
-                 bench-pr3, bench-pr4, bench-pr5, bench-pr6, bench-pr7, bench-pr8, bench-pr10, \
+                 bench-pr3, bench-pr4, bench-pr6, bench-pr7, bench-pr8, bench-pr10, \
                  mmap-smoke, report, diff, validate-metrics, validate-json, validate-prom, \
                  trend, all"
             );

@@ -54,17 +54,11 @@ pub struct AuditOptions {
     /// The order each group's active queue is drained in (Lemma-1
     /// experiments; deployments use FIFO).
     pub schedule: ReplaySchedule,
-    /// Pipelined audit: shard the preprocess sections per request and
-    /// overlap the deferred graph-edge merge (and the streaming state
-    /// merge) with group replay. Off replays the strictly
-    /// barrier-separated phases; verdicts and metrics are bit-identical
-    /// either way — only wall-clock scheduling changes.
-    pub pipeline: bool,
     /// Resource budgets (DESIGN.md §10). The fuel budget is counted
     /// deterministically, so like the other knobs it cannot make
-    /// verdicts diverge across the threads×pipeline matrix; the
-    /// wall-clock deadline is the one machine-dependent exception and
-    /// defaults far above any honest group.
+    /// verdicts diverge across worker counts; the wall-clock deadline
+    /// is the one machine-dependent exception and defaults far above
+    /// any honest group.
     pub limits: Limits,
     /// Bytecode-VM replay (DESIGN.md §11): dispatch each group over
     /// the program's compiled opcode stream instead of walking the
@@ -86,7 +80,6 @@ impl Default for AuditOptions {
         AuditOptions {
             threads: 1,
             schedule: ReplaySchedule::Fifo,
-            pipeline: true,
             limits: Limits::default(),
             bytecode: true,
             advice_mmap: false,
@@ -105,17 +98,15 @@ impl AuditOptions {
 
     /// Options from the environment (the full variable table lives in
     /// [`crate::config`]): `KAROUSOS_VERIFY_THREADS` sets the worker
-    /// count (default `1`; `0` = one per core), `KAROUSOS_PIPELINE`
-    /// toggles the pipelined audit (`0`/`off`/`false` disable it;
-    /// default on), `KAROUSOS_BYTECODE` toggles bytecode-VM replay
-    /// (same contract, default on), and `KAROUSOS_LIMITS_*` override
-    /// individual resource budgets. This is what the plain [`audit`] /
-    /// [`audit_encoded`] entry points use, so the whole test suite can
-    /// be rerun against any point of the matrix by exporting the
-    /// variables.
+    /// count (default `1`; `0` = one per core), `KAROUSOS_BYTECODE`
+    /// toggles bytecode-VM replay (`0`/`off`/`false` disable it;
+    /// default on), `KAROUSOS_ADVICE_MMAP` maps advice files (default
+    /// off), and `KAROUSOS_LIMITS_*` override individual resource
+    /// budgets. This is what the plain [`audit`] / [`audit_encoded`]
+    /// entry points use, so the whole test suite can be rerun against
+    /// any point of the matrix by exporting the variables.
     pub fn from_env() -> Self {
         AuditOptions {
-            pipeline: crate::config::pipeline_from_env(),
             limits: Limits::from_env(),
             bytecode: crate::config::bytecode_from_env(),
             advice_mmap: crate::config::advice_mmap_from_env(),
@@ -681,8 +672,8 @@ fn audit_core_inner<'a>(
 
     // Preprocess (includes isolation-level verification): the
     // advice-driven sections run sharded per request; the edge
-    // fragments come back deferred so the pipelined audit can overlap
-    // their merge into `G` with group replay.
+    // fragments come back deferred so their merge into `G` overlaps
+    // group replay.
     let t = Instant::now();
     let span = obs.span_start();
     let staged = match preprocess_staged(program, trace, advice, isolation, threads) {
@@ -693,14 +684,6 @@ fn audit_core_inner<'a>(
         mut pre,
         mut deferred,
     } = staged;
-    if !opts.pipeline {
-        // Unpipelined: merge the deferred edges here, inside the
-        // preprocess phase, as the barrier-separated audit always has.
-        let espan = obs.span_start();
-        let edges = deferred.edge_count() as u64;
-        deferred.merge_into(&mut pre.graph);
-        obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
-    }
     obs.record_span("preprocess", 0, span, &[]);
     timing.preprocess = t.elapsed();
 
@@ -730,32 +713,24 @@ fn audit_core_inner<'a>(
     let mut vars = VarStates::new();
     init_vars(program, &mut vars);
 
-    // ReExec: workers replay whole groups. Unpipelined, the serial tail
-    // re-applies their variable-access streams in group order after a
-    // barrier; pipelined, the coordinator first merges the deferred
-    // preprocess edges into `G` (replay never reads the graph) and then
-    // streams each group's unit into the global state as it lands —
-    // same units, same ascending order, same checks.
+    // ReExec: the coordinator first merges the deferred preprocess
+    // edges into `G` (replay never reads the graph), then merges each
+    // group's replayed unit into the global state in ascending group
+    // order as soon as it exists (DESIGN.md §9).
     let mut graph = std::mem::take(&mut pre.graph);
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
         .with_schedule(opts.schedule)
         .with_limits(opts.limits)
         .with_bytecode(opts.bytecode)
         .with_obs(obs.clone());
-    let (reexec, reexec_timing) = if opts.pipeline {
-        let graph_ref = &mut graph;
-        let deferred_ref = &mut deferred;
-        let overlap_obs = obs.clone();
-        executor.run_pipelined(threads, move || {
-            let espan = overlap_obs.span_start();
-            let edges = deferred_ref.edge_count() as u64;
-            deferred_ref.merge_into(graph_ref);
-            overlap_obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
+    let (reexec, reexec_timing) = executor
+        .run_pipelined(threads, || {
+            let espan = obs.span_start();
+            let edges = deferred.edge_count() as u64;
+            deferred.merge_into(&mut graph);
+            obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
         })
-    } else {
-        executor.run_threaded(threads)
-    }
-    .map_err(|reason| fail("reexec", reason))?;
+        .map_err(|reason| fail("reexec", reason))?;
     timing.group_replay = reexec_timing.group_replay;
 
     obs.count(CounterId::GroupsFormed, reexec.groups as u64);

@@ -27,8 +27,8 @@
 //!   insertion-order dependent and must stay bit-identical).
 //!
 //! The edge fragments are returned as [`DeferredEdges`] rather than
-//! merged eagerly, which lets the pipelined audit overlap the merge
-//! with group replay; [`preprocess`] is the merge-immediately wrapper.
+//! merged eagerly, which lets the audit overlap the merge with group
+//! replay; [`preprocess`] is the merge-immediately wrapper.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -80,7 +80,7 @@ type PendingEdge = (GNode, GNode, EdgeKind);
 /// Preprocess edge fragments not yet merged into `G`, stored in the
 /// exact order a serial [`preprocess`] would have inserted them.
 /// [`DeferredEdges::merge_into`] replays them; deferring the replay is
-/// what lets the pipelined audit overlap it with group replay (the
+/// what lets the audit overlap it with group replay (the
 /// re-executor reads `op_map`/`activated`/`check_counts`, never the
 /// graph, so the merge is safe to run concurrently with replay).
 #[derive(Debug, Default)]
@@ -116,7 +116,7 @@ pub struct PreStaged {
     /// The preprocessed structures.
     pub pre: Preprocessed,
     /// Edge fragments to merge into `pre.graph` (eagerly, or overlapped
-    /// with group replay by the pipelined audit).
+    /// with group replay by the audit).
     pub deferred: DeferredEdges,
 }
 

@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use kem::{
@@ -125,7 +125,7 @@ pub struct ReexecStats {
     /// Replay fuel spent (one unit per statement executed and per
     /// expression node evaluated). Counted inside the single-threaded
     /// per-group interpreter, so the total is bit-identical at every
-    /// threads×pipeline configuration.
+    /// worker count.
     pub fuel_spent: u64,
     /// The hungriest single group's fuel spend — the number the
     /// `fuel_headroom` gauge is measured against.
@@ -145,14 +145,16 @@ impl ReexecStats {
     }
 }
 
-/// Wall-clock breakdown of [`ReExecutor::run_threaded`].
+/// Wall-clock breakdown of [`ReExecutor::run_pipelined`]. The two parts
+/// sum to the run's wall clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReexecTiming {
-    /// Group replay: interpreting every group (in parallel when
-    /// `threads > 1`).
+    /// Everything but the merge: interpreting every group (in parallel
+    /// when `threads > 1`), the side job, and waiting for workers.
     pub group_replay: Duration,
-    /// State merge: re-applying each group's recorded variable accesses
-    /// to the global dictionaries, plus the whole-audit final checks.
+    /// State merge: the coordinator's time re-applying each group's
+    /// recorded variable accesses to the global dictionaries, plus the
+    /// whole-audit final checks.
     pub state_merge: Duration,
 }
 
@@ -704,53 +706,31 @@ impl<'a> ReExecutor<'a> {
     /// Runs re-execution over all groups (Fig. 18), performing the
     /// final whole-audit checks (lines 62–64).
     pub fn run(self) -> Result<ReexecStats, RejectReason> {
-        self.run_threaded(1).map(|(stats, _)| stats)
+        self.run_pipelined(1, || {}).map(|(stats, _)| stats)
     }
 
     /// [`ReExecutor::run`] with group replay spread over `threads`
-    /// workers.
+    /// workers and a side job run on the coordinator before the merge.
+    /// The audit uses the side job to merge `G`'s deferred preprocess
+    /// edges while workers replay; it touches no replay state.
     ///
-    /// Groups are independent by construction — same handler tree,
-    /// disjoint requests — so each worker interprets whole groups with
-    /// its own local replay state, recording its shared-variable
-    /// accesses. The serial merge phase then re-applies those streams
-    /// to the global state in ascending group order, which makes the
-    /// outcome (verdict, [`RejectReason`], statistics) bit-identical to
-    /// `threads = 1`: that path runs the very same worker-and-merge
-    /// code, just on one thread.
-    pub fn run_threaded(self, threads: usize) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        self.run_impl(threads, None::<fn()>)
-    }
-
-    /// [`ReExecutor::run_threaded`] with an overlapped side job and a
-    /// *streaming* merge: `overlap` runs on the coordinator thread
-    /// while workers replay groups, and each group's recorded unit is
-    /// merged into the global state as soon as it lands — still in
-    /// ascending group order — instead of after a full-replay barrier.
-    /// The audit uses the side job to build `G`'s deferred preprocess
-    /// edges concurrently with group replay.
-    ///
-    /// Outcome equivalence with [`ReExecutor::run_threaded`]: workers
-    /// run the same per-group code, the merge consumes units in the
-    /// same ascending order through the same [`merge_unit`] checks, and
-    /// `overlap` touches no replay state — so verdicts, errors, and
-    /// statistics are bit-identical; only the wall-clock overlap
-    /// differs. On a single thread the overlap degenerates to running
-    /// the side job before replay.
-    pub fn run_pipelined<F: FnOnce() + Send>(
+    /// This is the one audit scheduler (DESIGN.md §9). Groups are
+    /// independent by construction — same handler tree, disjoint
+    /// requests — so each group replays with its own local state and
+    /// records its shared-variable accesses as a unit. The coordinator
+    /// merges units into the global state in ascending group order
+    /// through [`merge_unit`] as soon as each exists: with `threads ≤ 1`
+    /// (or a single group) it replays every group inline and merges it
+    /// at once; otherwise workers publish units on a board and the merge
+    /// overlaps their replay. The same units pass the same checks in the
+    /// same order either way, so verdicts, [`RejectReason`]s and
+    /// statistics are bit-identical at every worker count.
+    pub fn run_pipelined<F: FnOnce()>(
         self,
         threads: usize,
-        overlap: F,
+        side: F,
     ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        self.run_impl(threads, Some(overlap))
-    }
-
-    fn run_impl<F: FnOnce() + Send>(
-        self,
-        threads: usize,
-        overlap: Option<F>,
-    ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        let t_replay = Instant::now();
+        let t_run = Instant::now();
         let order = self.trace.request_ids();
         for rid in &order {
             if !self.advice.tags.contains_key(rid) {
@@ -920,10 +900,9 @@ impl<'a> ReExecutor<'a> {
             })
         };
 
-        // Merge state shared by all three paths (sequential, barrier
-        // parallel, streaming parallel); every unit goes through
-        // [`merge_unit`] in ascending group order, which is what keeps
-        // their outcomes bit-identical.
+        // Merge state: every unit goes through [`merge_unit`] in
+        // ascending group order, which is what makes the outcome
+        // independent of where and when the unit was replayed.
         let mut stats = ReexecStats {
             groups: ngroups,
             ..Default::default()
@@ -932,309 +911,153 @@ impl<'a> ReExecutor<'a> {
             HashSet::with_capacity(advice.opcounts.len());
         let mut consumed: HashSet<OpRef> = HashSet::with_capacity(pre.op_map.len());
         let mut outputs: HashMap<RequestId, Value> = HashMap::with_capacity(order.len());
-        let mut timing = ReexecTiming::default();
+        let mut quarantine = Quarantine::default();
+        // Coordinator time inside the merge and the final checks; the
+        // rest of the run's wall clock is group replay (and the side
+        // job), so the two parts sum to the whole.
+        let mut merge_time = Duration::ZERO;
 
-        if threads <= 1 || ngroups <= 1 {
-            // The pipelined overlap degenerates to overlap-first on a
-            // single thread: the side job runs to completion, then the
-            // groups replay exactly as in the unpipelined audit.
-            if let Some(side) = overlap {
-                side();
+        // No workers (and no board) when there is nothing to overlap:
+        // the coordinator replays each group itself.
+        let workers = if threads <= 1 || ngroups <= 1 {
+            0
+        } else {
+            threads.min(ngroups)
+        };
+        let next = AtomicUsize::new(0);
+        // Smallest group index known to have failed: workers skip
+        // groups strictly beyond it (the merge stops there), but never
+        // groups before it, which the merge still needs.
+        let failed_floor = AtomicUsize::new(usize::MAX);
+        let workers_alive = AtomicUsize::new(workers);
+        let board: Mutex<Vec<Option<GroupRun>>> = Mutex::new({
+            let mut v: Vec<Option<GroupRun>> = Vec::new();
+            v.resize_with(if workers == 0 { 0 } else { ngroups }, || None);
+            v
+        });
+        let ready = Condvar::new();
+        let (groups_ref, run_unit_ref, obs_ref) = (&groups, &run_unit, &obs_handle);
+        // The unit for group `gidx`: replayed inline, or waited for on
+        // the board.
+        let take_unit = |gidx: usize| -> Result<GroupRun, RejectReason> {
+            if workers == 0 {
+                return Ok(run_unit_ref(gidx, &groups_ref[gidx], 0));
             }
-            let mut units: Vec<Option<GroupRun>> = Vec::with_capacity(ngroups);
-            let mut failed = false;
-            for (gidx, rids) in groups.iter().enumerate() {
-                // The merge never looks past the first *hard*-failing
-                // group, so neither does the replay; quarantined groups
-                // don't stop it (graceful degradation).
-                if failed {
-                    units.push(None);
-                    continue;
+            let poisoned = || RejectReason::VerifierInternal {
+                what: "group result board poisoned".into(),
+            };
+            let mut slots = board.lock().map_err(|_| poisoned())?;
+            loop {
+                if let Some(u) = slots[gidx].take() {
+                    return Ok(u);
                 }
-                let unit = run_unit(gidx, rids, 0);
-                failed = unit.error.as_ref().is_some_and(|e| !e.quarantines());
-                if failed {
-                    obs_handle.progress_floor(gidx as u64);
-                }
-                units.push(Some(unit));
-            }
-            timing.group_replay = t_replay.elapsed();
-            let t_merge = Instant::now();
-            let t_merge_span = obs_handle.span_start();
-            let mut quarantine = Quarantine::default();
-            let mut merged: Result<(), RejectReason> = Ok(());
-            for slot in units {
-                let Some(unit) = slot else {
-                    merged = Err(RejectReason::VerifierInternal {
-                        what: "group skipped before the first failing group".into(),
+                if workers_alive.load(Ordering::Relaxed) == 0 {
+                    // Every worker exited without filling this slot:
+                    // fail closed instead of waiting forever.
+                    return Err(RejectReason::VerifierInternal {
+                        what: "group worker exited without reporting".into(),
                     });
-                    break;
+                }
+                slots = ready
+                    .wait_timeout(slots, Duration::from_millis(20))
+                    .map_err(|_| poisoned())?
+                    .0;
+            }
+        };
+
+        let merged: Result<(), RejectReason> = std::thread::scope(|s| {
+            for w in 0..workers {
+                // Lane 0 is the coordinator; workers get 1..=n.
+                let lane = w as u32 + 1;
+                let (next, failed_floor, workers_alive) = (&next, &failed_floor, &workers_alive);
+                let (board, ready) = (&board, &ready);
+                s.spawn(move || {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= ngroups {
+                            break;
+                        }
+                        if i > failed_floor.load(Ordering::Relaxed) {
+                            continue;
+                        }
+                        // run_unit is supervised: a panicking group
+                        // reports a quarantined unit instead of stalling
+                        // the merge on an empty slot. Only hard
+                        // (semantic) errors lower the floor —
+                        // quarantined groups don't stop the groups
+                        // behind them.
+                        let unit = run_unit_ref(i, &groups_ref[i], lane);
+                        if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
+                            failed_floor.fetch_min(i, Ordering::Relaxed);
+                            obs_ref.progress_floor(i as u64);
+                        }
+                        if let Ok(mut slots) = board.lock() {
+                            slots[i] = Some(unit);
+                        }
+                        ready.notify_all();
+                    }
+                    workers_alive.fetch_sub(1, Ordering::Relaxed);
+                    ready.notify_all();
+                });
+            }
+
+            side();
+            let t_merge_span = obs_handle.span_start();
+            let mut out: Result<(), RejectReason> = Ok(());
+            for gidx in 0..ngroups {
+                let unit = match take_unit(gidx) {
+                    Ok(unit) => unit,
+                    Err(e) => {
+                        out = Err(e);
+                        break;
+                    }
                 };
-                if let Err(e) = merge_unit(
+                let t = Instant::now();
+                let res = merge_unit(
                     global,
                     advice,
-                    &obs_handle,
+                    obs_ref,
                     &mut stats,
                     &mut executed,
                     &mut consumed,
                     &mut outputs,
                     &mut quarantine,
                     unit,
-                ) {
-                    merged = Err(e);
+                );
+                merge_time += t.elapsed();
+                if let Err(e) = res {
+                    // Nothing past this group will merge; let in-flight
+                    // workers drain.
+                    failed_floor.fetch_min(gidx, Ordering::Relaxed);
+                    obs_ref.progress_floor(gidx as u64);
+                    out = Err(e);
                     break;
                 }
             }
-            let pending = quarantine.finish(&obs_handle);
-            merged?;
-            pending?;
-            final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs)?;
-            timing.state_merge = t_merge.elapsed();
-            obs_handle.record_span(
-                "state-merge",
-                0,
-                t_merge_span,
-                &[("groups", ngroups as u64)],
-            );
-            return Ok((stats, timing));
-        }
-
-        if let Some(side) = overlap {
-            // Streaming pipeline: workers publish finished units on a
-            // shared board; the coordinator runs the side job, then
-            // merges units in ascending group order as they land, so
-            // the side job and the merge both overlap replay.
-            use std::sync::{Condvar, Mutex};
-            let next = AtomicUsize::new(0);
-            // Smallest group index known to have failed: workers skip
-            // groups strictly beyond it (the merge stops there), but
-            // never groups before it, which the merge still needs.
-            let failed_floor = AtomicUsize::new(usize::MAX);
-            let workers = threads.min(ngroups);
-            let workers_alive = AtomicUsize::new(workers);
-            let groups_ref = &groups;
-            let run_unit_ref = &run_unit;
-            let obs_ref = &obs_handle;
-            let board: Mutex<Vec<Option<GroupRun>>> = Mutex::new({
-                let mut v: Vec<Option<GroupRun>> = Vec::new();
-                v.resize_with(ngroups, || None);
-                v
-            });
-            let ready = Condvar::new();
-            let poisoned = || RejectReason::VerifierInternal {
-                what: "group result board poisoned".into(),
-            };
-
-            let mut merge_wall = Duration::ZERO;
-            let merged: Result<(), RejectReason> = std::thread::scope(|s| {
-                for w in 0..workers {
-                    // Lane 0 is the coordinator; workers get 1..=n.
-                    let lane = w as u32 + 1;
-                    let (next, failed_floor, workers_alive) =
-                        (&next, &failed_floor, &workers_alive);
-                    let (board, ready) = (&board, &ready);
-                    s.spawn(move || {
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= ngroups {
-                                break;
-                            }
-                            if i > failed_floor.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            // run_unit is supervised: a panicking group
-                            // reports a quarantined unit instead of
-                            // stalling the streaming merge on an empty
-                            // slot. Only hard (semantic) errors lower
-                            // the floor — quarantined groups don't stop
-                            // the groups behind them.
-                            let unit = run_unit_ref(i, &groups_ref[i], lane);
-                            if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
-                                failed_floor.fetch_min(i, Ordering::Relaxed);
-                                obs_ref.progress_floor(i as u64);
-                            }
-                            if let Ok(mut slots) = board.lock() {
-                                slots[i] = Some(unit);
-                            }
-                            ready.notify_all();
-                        }
-                        workers_alive.fetch_sub(1, Ordering::Relaxed);
-                        ready.notify_all();
-                    });
-                }
-
-                // Coordinator: the overlapped side job first (the audit
-                // merges G's deferred preprocess edges here), then the
-                // in-order streaming merge.
-                side();
-                let t_merge = Instant::now();
-                let t_merge_span = obs_handle.span_start();
-                let mut quarantine = Quarantine::default();
-                let mut out: Result<(), RejectReason> = Ok(());
-                'merge: for gidx in 0..ngroups {
-                    let unit = {
-                        let mut slots = board.lock().map_err(|_| poisoned())?;
-                        loop {
-                            if let Some(u) = slots[gidx].take() {
-                                break u;
-                            }
-                            if workers_alive.load(Ordering::Relaxed) == 0 {
-                                // Every worker exited without filling
-                                // this slot: fail closed instead of
-                                // waiting forever.
-                                out = Err(RejectReason::VerifierInternal {
-                                    what: "group worker exited without reporting".into(),
-                                });
-                                break 'merge;
-                            }
-                            let (guard, _) = ready
-                                .wait_timeout(slots, Duration::from_millis(20))
-                                .map_err(|_| poisoned())?;
-                            slots = guard;
-                        }
-                    };
-                    if let Err(e) = merge_unit(
-                        global,
-                        advice,
-                        obs_ref,
-                        &mut stats,
-                        &mut executed,
-                        &mut consumed,
-                        &mut outputs,
-                        &mut quarantine,
-                        unit,
-                    ) {
-                        // Nothing past this group will merge; let the
-                        // in-flight workers drain.
-                        failed_floor.fetch_min(gidx, Ordering::Relaxed);
-                        obs_ref.progress_floor(gidx as u64);
-                        out = Err(e);
-                        break 'merge;
-                    }
-                }
-                let qres = quarantine.finish(obs_ref);
-                if out.is_ok() {
-                    out = qres;
-                }
-                if out.is_ok() {
-                    out = final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs);
-                }
-                merge_wall = t_merge.elapsed();
-                if out.is_ok() {
-                    obs_handle.record_span(
-                        "state-merge",
-                        0,
-                        t_merge_span,
-                        &[("groups", ngroups as u64)],
-                    );
-                }
-                out
-            });
-            merged?;
-            // Replay, side job, and merge overlapped: group_replay is
-            // the whole scope's wall clock and state_merge the merge
-            // loop's share of it (the two no longer sum to a phase
-            // total).
-            timing.group_replay = t_replay.elapsed();
-            timing.state_merge = merge_wall;
-            return Ok((stats, timing));
-        }
-
-        let next = AtomicUsize::new(0);
-        // Smallest group index known to have failed: workers skip
-        // groups strictly beyond it (the merge stops there), but
-        // never groups before it, which the merge still needs.
-        let failed_floor = AtomicUsize::new(usize::MAX);
-        let groups_ref = &groups;
-        let run_unit_ref = &run_unit;
-        let workers = threads.min(ngroups);
-        let mut slots: Vec<Option<GroupRun>> = Vec::new();
-        slots.resize_with(ngroups, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    // Lane 0 is the coordinator; workers get 1..=n.
-                    let lane = w as u32 + 1;
-                    let (next, failed_floor) = (&next, &failed_floor);
-                    let obs_ref = &obs_handle;
-                    s.spawn(move || {
-                        let mut done: Vec<(usize, GroupRun)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= ngroups {
-                                break;
-                            }
-                            if i > failed_floor.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            let unit = run_unit_ref(i, &groups_ref[i], lane);
-                            // Quarantined groups don't lower the floor:
-                            // the merge skips them and keeps going.
-                            if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
-                                failed_floor.fetch_min(i, Ordering::Relaxed);
-                                obs_ref.progress_floor(i as u64);
-                            }
-                            done.push((i, unit));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(done) => {
-                        for (i, unit) in done {
-                            slots[i] = Some(unit);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+            let t = Instant::now();
+            let qres = quarantine.finish(obs_ref);
+            if out.is_ok() {
+                out = qres;
             }
+            if out.is_ok() {
+                out = final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs);
+            }
+            merge_time += t.elapsed();
+            if out.is_ok() {
+                obs_handle.record_span(
+                    "state-merge",
+                    0,
+                    t_merge_span,
+                    &[("groups", ngroups as u64)],
+                );
+            }
+            out
         });
-        timing.group_replay = t_replay.elapsed();
-
-        // Merge, in ascending group order (the sequential replay
-        // order). Re-applying each group's accesses to the global state
-        // runs the cross-group checks at the same event position the
-        // sequential audit would, so the first error — replayed or
-        // group-local — is the sequential audit's error.
-        let t_merge = Instant::now();
-        let t_merge_span = obs_handle.span_start();
-        let mut quarantine = Quarantine::default();
-        let mut merged: Result<(), RejectReason> = Ok(());
-        for slot in slots {
-            let Some(unit) = slot else {
-                merged = Err(RejectReason::VerifierInternal {
-                    what: "group skipped before the first failing group".into(),
-                });
-                break;
-            };
-            if let Err(e) = merge_unit(
-                global,
-                advice,
-                &obs_handle,
-                &mut stats,
-                &mut executed,
-                &mut consumed,
-                &mut outputs,
-                &mut quarantine,
-                unit,
-            ) {
-                merged = Err(e);
-                break;
-            }
-        }
-        let pending = quarantine.finish(&obs_handle);
         merged?;
-        pending?;
-        final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs)?;
-        timing.state_merge = t_merge.elapsed();
-        obs_handle.record_span(
-            "state-merge",
-            0,
-            t_merge_span,
-            &[("groups", ngroups as u64)],
-        );
+        let timing = ReexecTiming {
+            group_replay: t_run.elapsed().saturating_sub(merge_time),
+            state_merge: merge_time,
+        };
         Ok((stats, timing))
     }
 
@@ -2895,9 +2718,9 @@ impl<'a> ReExecutor<'a> {
 /// variable states (running the cross-group checks at the same event
 /// position the sequential audit would), absorb the worker's telemetry
 /// shard, surface the group's own error, then fold its statistics and
-/// coverage sets. Every merge path — sequential, barrier parallel, and
-/// streaming pipeline — consumes units through this one function in
-/// ascending group order, so their outcomes cannot drift.
+/// coverage sets. Inline and worker-replayed units alike pass through
+/// this one function in ascending group order, so the outcome cannot
+/// depend on the worker count.
 #[allow(clippy::too_many_arguments)]
 fn merge_unit(
     global: &mut VarStates,

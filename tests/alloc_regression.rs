@@ -2,7 +2,9 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and
 //! counts allocation *events* (alloc + realloc calls) while the
-//! re-execution phase replays a uniform 64-request group. The budget
+//! re-execution phase replays a uniform 64-request group. It also
+//! tracks live heap bytes and their high-water mark, which pins the
+//! serial audit's memory shape. The budget
 //! pinned here is the contract that slot-compiled frames and interned
 //! symbols keep the hot loop allocation-free: if a change reintroduces
 //! per-request `String`/`BTreeMap` traffic, this test fails CI.
@@ -16,21 +18,35 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Wraps the system allocator, counting allocation events (calls to
-/// `alloc`/`realloc`, not bytes) while `COUNTING` is enabled.
+/// `alloc`/`realloc`, not bytes) while `COUNTING` is enabled, and
+/// always tracking live bytes (`LIVE`) and their high-water mark
+/// (`PEAK`).
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow_live(bytes: usize) {
+    let now = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
         }
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grow_live(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -38,7 +54,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
         }
-        System.realloc(ptr, layout, new_size)
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            if new_size >= layout.size() {
+                grow_live(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
+            }
+        }
+        new
     }
 }
 
@@ -57,6 +81,15 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let out = f();
     COUNTING.store(false, Ordering::SeqCst);
     (out, ALLOC_EVENTS.load(Ordering::SeqCst))
+}
+
+/// Peak live heap bytes during `f`, above the live level at entry.
+/// Callers hold `SERIAL` so no other test allocates meanwhile.
+fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let out = f();
+    (out, PEAK.load(Ordering::SeqCst).saturating_sub(base))
 }
 
 use kem::{dsl, ServerConfig, Value};
@@ -413,7 +446,6 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     drop(advice);
     let opts = karousos::AuditOptions {
         threads: 1,
-        pipeline: false,
         bytecode: true,
         ..Default::default()
     };
@@ -468,5 +500,55 @@ fn end_to_end_borrowed_audit_allocation_budget() {
         allocs_borrowed.saturating_mul(2) <= allocs_fast,
         "borrowed audit path regressed: {allocs_borrowed} allocs vs \
          fast-decoded {allocs_fast} (pin: >= 2x fewer end-to-end)"
+    );
+}
+
+#[test]
+fn serial_audit_peak_live_heap_budget() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    // A read-heavy stacks trace: replay-dominated, small advice, and
+    // several control-flow groups.
+    let exp =
+        workload::Experiment::paper_default(apps::App::Stacks, workload::Mix::ReadHeavy, 8, 1);
+    let program = exp.app.program();
+    let (out, advice) = karousos::run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        karousos::CollectorMode::Karousos,
+    )
+    .expect("server run succeeds");
+    let bytes = karousos::encode_advice(&advice);
+    drop(advice);
+    let audit = || {
+        karousos::audit_encoded_with_options(
+            &program,
+            &out.trace,
+            &bytes,
+            exp.isolation,
+            karousos::AuditOptions::with_threads(1),
+        )
+        .expect("honest advice is accepted")
+    };
+    // Warm-up: one-time interned statics are not the audit's footprint.
+    let warm = audit();
+    assert!(exp.requests >= 600 && warm.reexec.groups > 1);
+    let (report, peak) = peak_live_bytes(audit);
+    assert_eq!(report.reexec, warm.reexec);
+    eprintln!(
+        "serial audit peak live heap at {} requests, {} groups: {peak} bytes",
+        exp.requests, report.reexec.groups
+    );
+
+    // The serial audit merges each group as soon as it replays, so no
+    // group's recorded events or coverage sets outlive its merge.
+    // Measured at introduction: 4_703_752 bytes; replaying every group
+    // before merging any peaked at 7_095_064. The pin leaves ~15%
+    // headroom.
+    const BUDGET: u64 = 5_400_000;
+    assert!(
+        peak <= BUDGET,
+        "serial audit peak live heap regressed: {peak} bytes (pin: <= {BUDGET})"
     );
 }

@@ -1,47 +1,37 @@
 //! Determinism keystone for the parallel verifier: an audit's outcome
 //! — verdict, statistics, and on rejection the exact [`RejectReason`]
-//! — must be independent of the worker-thread count AND of the
-//! pipelined-audit toggle. Workers replay whole groups with local
-//! state and the merge phase re-applies their variable-access streams
-//! in ascending group order (barrier or streaming), while the sharded
-//! preprocess and deferred edge merge reproduce the serial section
-//! order exactly; so every `(threads, pipeline)` point runs the same
-//! logical event sequence. This test pins that equivalence across
-//! every app, every isolation level, and a broad sample of
-//! hostile-advice mutations.
+//! — must be independent of the worker-thread count. Groups replay
+//! with local state (inline on the coordinator at one thread, on
+//! workers otherwise) and the merge re-applies their variable-access
+//! streams in ascending group order, while the sharded preprocess and
+//! deferred edge merge reproduce the serial section order exactly; so
+//! every thread count runs the same logical event sequence. This test
+//! pins that equivalence across every app, every isolation level, and
+//! a broad sample of hostile-advice mutations.
+
+use std::time::{Duration, Instant};
 
 use apps::App;
+use karousos::verifier::{init_vars, preprocess, ReExecutor, VarStates};
 use karousos::{
     audit_encoded_with_options, audit_with_options, encode_advice, run_instrumented_server,
-    AuditOptions, AuditReport, CollectorMode, Mutator, RejectReason, WireMutator,
+    AdviceRef, AuditOptions, AuditReport, CollectorMode, Mutator, RejectReason, WireMutator,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
-/// The full audit matrix: every thread count crossed with the
-/// pipelined-audit toggle. `(1, pipeline: false)` is the strictly
-/// barrier-separated serial audit every other point must match.
+/// The audit matrix: every thread count, each compared against the
+/// serial `threads = 1` baseline.
 fn matrix() -> Vec<AuditOptions> {
-    let mut configs = Vec::new();
-    for pipeline in [false, true] {
-        for threads in [1, 2, 4, 8] {
-            configs.push(AuditOptions {
-                threads,
-                pipeline,
-                ..AuditOptions::default()
-            });
-        }
-    }
-    configs
+    [1, 2, 4, 8]
+        .into_iter()
+        .map(AuditOptions::with_threads)
+        .collect()
 }
 
-/// The serial barrier-separated baseline.
+/// The serial baseline.
 fn baseline() -> AuditOptions {
-    AuditOptions {
-        threads: 1,
-        pipeline: false,
-        ..AuditOptions::default()
-    }
+    AuditOptions::with_threads(1)
 }
 
 /// The comparable portion of an audit outcome (timing excluded: it is
@@ -101,10 +91,9 @@ fn honest_audits_agree_across_thread_counts() {
                 assert_eq!(
                     sequential,
                     parallel,
-                    "{} at {isolation}: serial baseline vs threads={} pipeline={} disagree",
+                    "{} at {isolation}: serial baseline vs threads={} disagree",
                     app.name(),
-                    opts.threads,
-                    opts.pipeline
+                    opts.threads
                 );
             }
         }
@@ -144,10 +133,9 @@ fn hostile_audits_agree_across_thread_counts() {
                 assert_eq!(
                     sequential,
                     parallel,
-                    "{label} on {} at {isolation}: serial baseline vs threads={} pipeline={} disagree",
+                    "{label} on {} at {isolation}: serial baseline vs threads={} disagree",
                     app.name(),
-                    opts.threads,
-                    opts.pipeline
+                    opts.threads
                 );
             }
             checked += 1;
@@ -190,18 +178,42 @@ fn auto_thread_count_resolves_and_agrees() {
         IsolationLevel::Serializable,
         baseline(),
     ));
-    for pipeline in [false, true] {
-        let auto = comparable(audit_with_options(
-            &program,
-            &trace,
-            &advice,
-            IsolationLevel::Serializable,
-            AuditOptions {
-                threads: 0,
-                pipeline,
-                ..AuditOptions::default()
-            },
-        ));
-        assert_eq!(sequential, auto, "auto threads, pipeline={pipeline}");
+    let auto = comparable(audit_with_options(
+        &program,
+        &trace,
+        &advice,
+        IsolationLevel::Serializable,
+        AuditOptions::with_threads(0),
+    ));
+    assert_eq!(sequential, auto, "auto threads");
+}
+
+#[test]
+fn reexec_timing_parts_sum_to_the_run() {
+    // `group_replay` and `state_merge` split the run's wall clock: the
+    // coordinator's merge time is not also counted as replay, so the
+    // audit's phase total does not count the merge twice.
+    let isolation = IsolationLevel::Serializable;
+    let (program, trace, advice) = honest_run(App::Wiki, isolation, 42);
+    let advice = AdviceRef::from_advice(&advice);
+    let pre = preprocess(&program, &trace, &advice, isolation).expect("honest preprocess");
+    for threads in [1, 4] {
+        let mut vars = VarStates::new();
+        init_vars(&program, &mut vars);
+        let executor = ReExecutor::new(&program, &trace, &advice, &pre, &mut vars);
+        let start = Instant::now();
+        let (stats, timing) = executor
+            .run_pipelined(threads, || {})
+            .expect("honest replay accepts");
+        let wall = start.elapsed();
+        assert!(stats.groups > 1, "fixture must form several groups");
+        assert!(
+            timing.group_replay + timing.state_merge <= wall,
+            "threads={threads}: {timing:?} exceeds the measured {wall:?}"
+        );
+        assert!(
+            timing.group_replay > Duration::ZERO && timing.state_merge > Duration::ZERO,
+            "threads={threads}: empty part in {timing:?}"
+        );
     }
 }
